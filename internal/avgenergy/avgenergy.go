@@ -95,17 +95,26 @@ func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
 
 	// Boundary classification: residual nodes whose residual degree still
 	// exceeds the target form the failed set F (deferred to later phases,
-	// like the paper's F).
-	resSub := graph.InducedSubgraph(g, aOut.Residual)
-	var aNodes, failed []int
-	for i := 0; i < resSub.N(); i++ {
-		if resSub.Degree(i) > target {
-			failed = append(failed, int(resSub.Orig[i]))
+	// like the paper's F). Residual degrees are counted against a
+	// membership mask.
+	inRes := make([]bool, n)
+	for _, v := range aOut.Residual {
+		inRes[v] = true
+	}
+	var aNodes []int
+	for _, v := range aOut.Residual {
+		d := 0
+		for _, u := range g.Neighbors(v) {
+			if inRes[u] {
+				d++
+			}
+		}
+		if d > target {
+			out.Failed++
 		} else {
-			aNodes = append(aNodes, int(resSub.Orig[i]))
+			aNodes = append(aNodes, v)
 		}
 	}
-	out.Failed = len(failed)
 
 	// --- Stage B: slot-scheduled Luby bursts on the A-nodes ---
 	bSub := graph.InducedSubgraph(g, aNodes)
@@ -282,22 +291,38 @@ func bits(n int) int {
 	return b
 }
 
+// slotSeedMask derives stage B's engine seed from the run's seed.
+const slotSeedMask = 0xA5A5A5A5
+
+// runSlotted executes stage B on g with the batch automaton.
 func runSlotted(g *graph.Graph, k, burst int, cfg sim.Config) (*slotOutcome, error) {
-	machines := make([]sim.Machine, g.N())
-	nodes := make([]*slotMachine, g.N())
-	for v := range machines {
-		nodes[v] = &slotMachine{k: k, burst: burst}
-		machines[v] = nodes[v]
+	cfg.Seed ^= slotSeedMask
+	b := newSlotBatch(g, k, burst)
+	res, err := sim.RunBatch(g, b, cfg)
+	if err != nil {
+		return nil, err
 	}
-	slotCfg := cfg
-	slotCfg.Seed = cfg.Seed ^ 0xA5A5A5A5
-	res, err := sim.Run(g, machines, slotCfg)
+	return &slotOutcome{inSet: b.inSet(), res: res, rounds: k * 3 * burst}, nil
+}
+
+// runSlottedLegacy executes stage B with the per-node slotMachine on the
+// per-node engine: the reference the batch path is differentially tested
+// against.
+func runSlottedLegacy(g *graph.Graph, k, burst int, cfg sim.Config) (*slotOutcome, error) {
+	cfg.Seed ^= slotSeedMask
+	machines := make([]sim.Machine, g.N())
+	nodes := make([]slotMachine, g.N())
+	for v := range machines {
+		nodes[v] = slotMachine{k: k, burst: burst}
+		machines[v] = &nodes[v]
+	}
+	res, err := sim.Run(g, machines, cfg)
 	if err != nil {
 		return nil, err
 	}
 	out := &slotOutcome{inSet: make([]bool, g.N()), res: res, rounds: k * 3 * burst}
-	for v, nm := range nodes {
-		out.inSet[v] = nm.joined
+	for v := range nodes {
+		out.inSet[v] = nodes[v].joined
 	}
 	return out, nil
 }

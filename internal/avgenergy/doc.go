@@ -26,4 +26,10 @@
 //     [GP22]'s O(1) average (their machinery is out of scope; the
 //     end-to-end node-averaged energy remains flat, which experiment E9
 //     verifies).
+//
+// Both stages run on the batch engine. Stage B's automaton shares the k
+// per-slot wake lists across all nodes (a node's list depends only on its
+// slot) and keeps a slot and a cursor per node; the per-node slotMachine
+// runs on the per-node engine only as the reference the differential
+// tests compare against.
 package avgenergy

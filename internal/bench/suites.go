@@ -196,6 +196,13 @@ func Specs(suites []string, quick bool) ([]Spec, error) {
 		}
 	}
 
+	// The regularized-Luby baseline and the Section 4 pipeline on the
+	// sparse gnp instance: both are quick-gated so a regression in either
+	// static path (stage B, the per-phase subgraph builds) shows up.
+	for _, algo := range []energymis.Algorithm{energymis.RegularizedLuby, energymis.Algorithm1Avg} {
+		specs = append(specs, staticSpec("gnp", gnpGraph(16384), 16384, algo, 0, true))
+	}
+
 	// --- dynamic: churn workloads through the repair engine ---
 	dyn := []Spec{
 		dynamicSpec("churn/n=2000/repair=luby", true, func() (*energymis.Graph, [][]energymis.Update, energymis.DynamicOptions) {

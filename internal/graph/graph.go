@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -138,50 +139,50 @@ func (b *Builder) AddEdge(u, v int) {
 	b.edges = append(b.edges, edge{int32(u), int32(v)})
 }
 
-// Build finalizes the graph. The builder may be reused afterward (its edge
-// set is retained).
+// Build finalizes the graph in O(n + edges·log maxdeg): each row is filled
+// straight from the degree counts, sorted, and compacted in place to drop
+// duplicate edges. The builder may be reused afterward (its edge set is
+// retained unchanged).
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].u != b.edges[j].u {
-			return b.edges[i].u < b.edges[j].u
-		}
-		return b.edges[i].v < b.edges[j].v
-	})
-	// Deduplicate in place.
-	uniq := b.edges[:0]
-	for i, e := range b.edges {
-		if i == 0 || e != b.edges[i-1] {
-			uniq = append(uniq, e)
-		}
-	}
-	b.edges = uniq
-
-	deg := make([]int32, b.n)
-	for _, e := range b.edges {
-		deg[e.u]++
-		deg[e.v]++
-	}
+	// Count arcs per row into offsets[v+1], prefix-sum to row starts, then
+	// fill using offsets[v] as row v's cursor. After the fill offsets[v]
+	// holds row v's end, i.e. row v+1's start, so one shift restores it.
 	offsets := make([]int32, b.n+1)
+	for _, e := range b.edges {
+		offsets[e.u+1]++
+		offsets[e.v+1]++
+	}
 	for v := 0; v < b.n; v++ {
-		offsets[v+1] = offsets[v] + deg[v]
+		offsets[v+1] += offsets[v]
 	}
 	adj := make([]int32, 2*len(b.edges))
-	cursor := make([]int32, b.n)
-	copy(cursor, offsets[:b.n])
 	for _, e := range b.edges {
-		adj[cursor[e.u]] = e.v
-		cursor[e.u]++
-		adj[cursor[e.v]] = e.u
-		cursor[e.v]++
+		adj[offsets[e.u]] = e.v
+		offsets[e.u]++
+		adj[offsets[e.v]] = e.u
+		offsets[e.v]++
 	}
-	g := &Graph{offsets: offsets, adj: adj}
-	// Each per-node list was filled in globally sorted edge order for the u
-	// side but not the v side; sort each list to restore the invariant.
+	copy(offsets[1:], offsets[:b.n])
+	offsets[0] = 0
+
+	// Sort each row and drop duplicates, compacting rows leftwards in
+	// place (the write cursor never passes the row being read). A
+	// duplicate edge appears once in each endpoint's row, so the result
+	// stays symmetric.
+	w := int32(0)
 	for v := 0; v < b.n; v++ {
-		nb := g.adj[offsets[v]:offsets[v+1]]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+		row := adj[offsets[v]:offsets[v+1]]
+		slices.Sort(row)
+		offsets[v] = w
+		for i, u := range row {
+			if i == 0 || u != row[i-1] {
+				adj[w] = u
+				w++
+			}
+		}
 	}
-	return g
+	offsets[b.n] = w
+	return &Graph{offsets: offsets, adj: adj[:w:w]}
 }
 
 // FromCSR wraps prebuilt CSR arrays as a Graph without copying or
@@ -212,27 +213,49 @@ type Subgraph struct {
 	Orig []int32
 }
 
-// InducedSubgraph extracts the subgraph induced by the given nodes of g.
-// keep lists parent node indices; duplicates are not allowed.
+// InducedSubgraph extracts the subgraph induced by the given nodes of g in
+// O(g.N() + |keep| + arcs of keep): local indices live in a dense array,
+// one counting pass sizes the rows, and a second pass fills them. Rows come
+// out sorted when keep is ascending; otherwise each row is sorted. keep
+// lists parent node indices; duplicates are not allowed.
 func InducedSubgraph(g *Graph, keep []int) *Subgraph {
-	local := make(map[int32]int32, len(keep))
+	local := make([]int32, g.N()) // parent index -> local index + 1; 0 = absent
 	orig := make([]int32, len(keep))
+	ascending := true
 	for i, v := range keep {
-		if _, dup := local[int32(v)]; dup {
+		if local[v] != 0 {
 			panic(fmt.Sprintf("graph: duplicate node %d in InducedSubgraph", v))
 		}
-		local[int32(v)] = int32(i)
+		local[v] = int32(i) + 1
 		orig[i] = int32(v)
-	}
-	b := NewBuilder(len(keep))
-	for i, v := range keep {
-		for _, u := range g.Neighbors(v) {
-			if j, ok := local[u]; ok && int32(i) < j {
-				b.AddEdge(i, int(j))
-			}
+		if i > 0 && v < keep[i-1] {
+			ascending = false
 		}
 	}
-	return &Subgraph{Graph: b.Build(), Orig: orig}
+	offsets := make([]int32, len(keep)+1)
+	for i, v := range keep {
+		d := int32(0)
+		for _, u := range g.Neighbors(v) {
+			if local[u] != 0 {
+				d++
+			}
+		}
+		offsets[i+1] = offsets[i] + d
+	}
+	adj := make([]int32, offsets[len(keep)])
+	for i, v := range keep {
+		w := offsets[i]
+		for _, u := range g.Neighbors(v) {
+			if j := local[u]; j != 0 {
+				adj[w] = j - 1
+				w++
+			}
+		}
+		if !ascending {
+			slices.Sort(adj[offsets[i]:w])
+		}
+	}
+	return &Subgraph{Graph: &Graph{offsets: offsets, adj: adj}, Orig: orig}
 }
 
 // Components returns the connected components of g, each as a slice of node

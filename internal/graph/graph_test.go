@@ -128,12 +128,16 @@ func TestInducedSubgraph(t *testing.T) {
 }
 
 func TestInducedSubgraphDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate keep node did not panic")
-		}
-	}()
-	InducedSubgraph(Path(3), []int{0, 0})
+	for _, keep := range [][]int{{0, 0}, {2, 0, 2}, {1, 2, 0, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("duplicate keep node in %v did not panic", keep)
+				}
+			}()
+			InducedSubgraph(Path(3), keep)
+		}()
+	}
 }
 
 func TestGeneratorsValidate(t *testing.T) {

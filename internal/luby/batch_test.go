@@ -1,6 +1,7 @@
 package luby
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
@@ -35,25 +36,35 @@ func TestBatchMatchesLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed=%d workers=%d batch: %v", tc.name, seed, w, err)
 				}
-				for v := range refSet {
-					if set[v] != refSet[v] {
-						t.Fatalf("%s seed=%d workers=%d: InSet[%d] = %v, legacy %v",
-							tc.name, seed, w, v, set[v], refSet[v])
-					}
-				}
-				if res.Rounds != refRes.Rounds || res.MsgsSent != refRes.MsgsSent ||
-					res.MsgsDropped != refRes.MsgsDropped || res.BitsTotal != refRes.BitsTotal ||
-					res.BitsMax != refRes.BitsMax || res.Violations != refRes.Violations {
-					t.Fatalf("%s seed=%d workers=%d: counters differ\n legacy: %+v\n batch:  %+v",
-						tc.name, seed, w, refRes, res)
-				}
-				for v := range res.Awake {
-					if res.Awake[v] != refRes.Awake[v] {
-						t.Fatalf("%s seed=%d workers=%d: Awake[%d] = %d, legacy %d",
-							tc.name, seed, w, v, res.Awake[v], refRes.Awake[v])
-					}
-				}
+				assertSameRun(t, fmt.Sprintf("%s seed=%d workers=%d", tc.name, seed, w), refSet, refRes, set, res)
 			}
+		}
+	}
+}
+
+// assertSameRun fails unless a batch run agrees with its per-node
+// reference on the output set and the whole sim.Result.
+func assertSameRun(t *testing.T, label string, refSet []bool, refRes *sim.Result, set []bool, res *sim.Result) {
+	t.Helper()
+	if len(set) != len(refSet) {
+		t.Fatalf("%s: |InSet| = %d, legacy %d", label, len(set), len(refSet))
+	}
+	for v := range refSet {
+		if set[v] != refSet[v] {
+			t.Fatalf("%s: InSet[%d] = %v, legacy %v", label, v, set[v], refSet[v])
+		}
+	}
+	if res.Rounds != refRes.Rounds || res.MsgsSent != refRes.MsgsSent ||
+		res.MsgsDropped != refRes.MsgsDropped || res.BitsTotal != refRes.BitsTotal ||
+		res.BitsMax != refRes.BitsMax || res.Violations != refRes.Violations {
+		t.Fatalf("%s: counters differ\n legacy: %+v\n batch:  %+v", label, refRes, res)
+	}
+	if len(res.Awake) != len(refRes.Awake) {
+		t.Fatalf("%s: |Awake| = %d, legacy %d", label, len(res.Awake), len(refRes.Awake))
+	}
+	for v := range res.Awake {
+		if res.Awake[v] != refRes.Awake[v] {
+			t.Fatalf("%s: Awake[%d] = %d, legacy %d", label, v, res.Awake[v], refRes.Awake[v])
 		}
 	}
 }

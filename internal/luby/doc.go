@@ -12,4 +12,10 @@
 // Energy behavior: a node stays awake until it is decided and has told its
 // neighbors, so the energy complexity equals the time complexity — the
 // Θ(log n) baseline the paper improves on.
+//
+// Both algorithms here, classic Luby (Run) and the regularized variant of
+// Section 2.1 (RunRegularized), execute on the batch engine as
+// struct-of-arrays automata. Their per-node Machine forms run on the
+// per-node engine only as references (RunLegacy, RunRegularizedLegacy)
+// that the differential tests compare against.
 package luby

@@ -1,6 +1,7 @@
 package luby
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
@@ -74,5 +75,58 @@ func TestRegularizedCongest(t *testing.T) {
 	}
 	if res.Violations != 0 {
 		t.Fatalf("violations: %d (bitsMax=%d)", res.Violations, res.BitsMax)
+	}
+}
+
+// TestRegBatchMatchesLegacy is the differential gate of the batch port of
+// regularized Luby: on every graph, seed, parameter set and worker count
+// the batch automaton must agree with the per-node regMachine on the set
+// and on the whole sim.Result.
+func TestRegBatchMatchesLegacy(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp", graph.GNP(500, 12.0/500, 3)},
+		{"udg", graph.RandomGeometric(400, 0.08, 5)},
+		{"ba", graph.BarabasiAlbert(400, 4, 7)},
+		{"star", graph.Star(90)},
+		{"edgeless", graph.NewBuilder(40).Build()},
+	}
+	params := []struct {
+		name string
+		p    RegularizedParams
+	}{
+		{"default", DefaultRegularizedParams()},
+		// One round per iteration at a heavily damped probability leaves
+		// nodes undecided after T rounds, forcing the greedy-by-ID
+		// epilogue (the A = node mark path).
+		{"epilogue", RegularizedParams{RoundsPerIterC: 0.01, MarkDamp: 1000}},
+	}
+	for _, tc := range graphs {
+		for _, pc := range params {
+			plan := newRegPlan(tc.g, pc.p)
+			for seed := uint64(1); seed <= 2; seed++ {
+				refSet, refRes, err := RunRegularizedLegacy(tc.g, pc.p, sim.Config{Seed: seed})
+				if err != nil {
+					t.Fatalf("%s/%s seed=%d legacy: %v", tc.name, pc.name, seed, err)
+				}
+				if pc.name == "epilogue" && tc.g.M() > 0 && refRes.Rounds <= 2*plan.T {
+					t.Fatalf("%s seed=%d: run ended in round %d, before the epilogue (round %d)",
+						tc.name, seed, refRes.Rounds, 2*plan.T)
+				}
+				for _, w := range []int{1, 2, 8} {
+					set, res, err := RunRegularized(tc.g, pc.p, sim.Config{Seed: seed, Workers: w})
+					if err != nil {
+						t.Fatalf("%s/%s seed=%d workers=%d batch: %v", tc.name, pc.name, seed, w, err)
+					}
+					assertSameRun(t, fmt.Sprintf("%s/%s seed=%d workers=%d", tc.name, pc.name, seed, w),
+						refSet, refRes, set, res)
+					if err := verify.Check(tc.g, set); err != nil {
+						t.Fatalf("%s/%s seed=%d workers=%d: %v", tc.name, pc.name, seed, w, err)
+					}
+				}
+			}
+		}
 	}
 }

@@ -191,6 +191,16 @@ func (e *batchEngine) schedule(v int32, round int) error {
 	if round < 0 {
 		return fmt.Errorf("sim: node %d scheduled invalid round %d", v, round)
 	}
+	e.scheduleAll(round, []int32{v})
+	return nil
+}
+
+// scheduleAll appends vs to the wake bucket of round (a valid round) with
+// one map update, however many nodes it adds.
+func (e *batchEngine) scheduleAll(round int, vs []int32) {
+	if len(vs) == 0 {
+		return
+	}
 	m := e.mem
 	b, ok := m.buckets[round]
 	if !ok {
@@ -200,8 +210,7 @@ func (e *batchEngine) schedule(v int32, round int) error {
 			m.bucketPool = m.bucketPool[:k-1]
 		}
 	}
-	m.buckets[round] = append(b, v)
-	return nil
+	m.buckets[round] = append(b, vs...)
 }
 
 func (e *batchEngine) run() (*Result, error) {
@@ -297,13 +306,20 @@ func (e *batchEngine) run() (*Result, error) {
 		next := m.next[:len(awake)]
 		e.curNext = next
 		runChunks(workers, len(awake), deliverChunk)
-		for i, v := range awake {
-			if next[i] != Never && next[i] <= round {
-				return nil, fmt.Errorf("sim: node %d returned wake round %d <= current %d", v, next[i], round)
+		// Nodes that pick the same wake round in a row (typically round+1)
+		// join its bucket with one map update.
+		for lo := 0; lo < len(awake); {
+			r, hi := next[lo], lo+1
+			for hi < len(awake) && next[hi] == r {
+				hi++
 			}
-			if err := e.schedule(v, next[i]); err != nil {
-				return nil, err
+			if r != Never {
+				if r <= round {
+					return nil, fmt.Errorf("sim: node %d returned wake round %d <= current %d", awake[lo], r, round)
+				}
+				e.scheduleAll(r, awake[lo:hi])
 			}
+			lo = hi
 		}
 		if tr != nil {
 			tr.Round(obs.RoundStats{

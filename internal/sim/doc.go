@@ -26,9 +26,11 @@
 //     state. The engine makes O(1) interface calls per round regardless of
 //     how many nodes are awake, routes every message through one pooled
 //     buffer, and — with a warm Mem pool — reaches zero steady-state
-//     allocations per round. Every protocol package on the hot path (luby,
-//     phase1, ghaffari, degreduce, shatter, phase3) executes this way;
-//     Adapt runs any legacy []Machine on the batch engine.
+//     allocations per round. Every production protocol path (luby and
+//     regularized luby, phase1, ghaffari, degreduce, shatter, phase3, and
+//     the avgenergy stage B) executes this way; Run serves only the
+//     *Legacy reference runs and tests. Adapt runs any legacy []Machine
+//     on the batch engine.
 //
 // Execution semantics, delivery order, and all measured counters are
 // identical between the two paths: for any protocol expressed both ways,
